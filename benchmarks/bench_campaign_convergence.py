@@ -15,13 +15,19 @@ mission at each optimum (not counted in either budget) scores the
 *true* composite desirability there, so the comparison cannot be
 flattered by surrogate error.
 
+The campaign's surrogate work is timed too: per round, the seconds
+``optimize_desirability`` takes and the objective evaluations it
+spends.  Their total is gated against the same run's simulation
+seconds, so a slowdown of the surrogate path fails the run however
+fast the runner is.
+
 Series land in ``results/BENCH_campaign_convergence.json``.
 """
 
 from __future__ import annotations
 
-import json
 import os
+import time
 
 from benchmarks.conftest import (
     BENCH_ENVELOPE,
@@ -32,6 +38,7 @@ from benchmarks.conftest import (
 from repro.analysis.io import ensure_results_dir
 from repro.fsutil import atomic_write_json
 from repro.analysis.tables import format_table
+import repro.campaign.campaign as campaign_mod
 from repro.core.factors import DesignSpace, Factor
 from repro.core.toolkit import (
     SensorNodeDesignToolkit,
@@ -62,6 +69,40 @@ def _toolkit() -> SensorNodeDesignToolkit:
 SCORE_TOL = 0.10
 
 
+#: Ceiling on the campaign's optimizer seconds over its simulation
+#: seconds in the same run.  Measured on a 2-CPU box with the compiled
+#: model matrix: 1.28-1.79 in smoke mode (9 runs) and 0.48-0.58 in
+#: full mode, against 3.77 and 1.29 before it.  Each gate is 2x the
+#: largest measured ratio; what remains of the optimizer's time is
+#: mostly SciPy's L-BFGS-B and finite-difference machinery.
+OPTIMIZER_RATIO_GATE = 3.6 if SMOKE else 1.2
+
+
+class _Timed:
+    """Wraps a callable; records wall seconds (and what ``note``
+    extracts from the result) per call, raised calls included."""
+
+    def __init__(self, fn, note=lambda result: {}):
+        self.fn = fn
+        self.note = note
+        self.calls: list[dict] = []
+
+    def __call__(self, *args, **kwargs):
+        started = time.perf_counter()
+        record: dict = {}
+        try:
+            result = self.fn(*args, **kwargs)
+            record = self.note(result)
+            return result
+        finally:
+            record["seconds"] = time.perf_counter() - started
+            self.calls.append(record)
+
+    @property
+    def seconds(self) -> float:
+        return sum(call["seconds"] for call in self.calls)
+
+
 def _simulated_score(toolkit, desirability, point) -> float:
     responses = toolkit.evaluate_point(point)
     return float(desirability(responses))
@@ -81,21 +122,31 @@ def test_campaign_convergence():
 
     # -- adaptive: sequential fit -> diagnose -> acquire rounds.
     adaptive = _toolkit()
-    result = adaptive.run_campaign(
-        objective=desirability,
-        config={
-            "max_rounds": 6,
-            "batch": 4,
-            "initial_design": "lhs",
-            "initial_runs": 8,
-            "seed": 17,
-            "optimum_tol": 0.1,
-            # The surrogate-accuracy stop: once the cross-validated
-            # error of the objective responses is under 8% of their
-            # span, further rounds only re-confirm the optimum.
-            "cv_floor": 0.08,
-        },
+    simulate = _Timed(adaptive.explorer.run_matrix)
+    adaptive.explorer.run_matrix = simulate
+    optimize = _Timed(
+        campaign_mod.optimize_desirability,
+        note=lambda outcome: {"evaluations": int(outcome.evaluations)},
     )
+    campaign_mod.optimize_desirability = optimize
+    try:
+        result = adaptive.run_campaign(
+            objective=desirability,
+            config={
+                "max_rounds": 6,
+                "batch": 4,
+                "initial_design": "lhs",
+                "initial_runs": 8,
+                "seed": 17,
+                "optimum_tol": 0.1,
+                # The surrogate-accuracy stop: once the cross-validated
+                # error of the objective responses is under 8% of their
+                # span, further rounds only re-confirm the optimum.
+                "cv_floor": 0.08,
+            },
+        )
+    finally:
+        campaign_mod.optimize_desirability = optimize.fn
     campaign_evals = result.evaluations["simulated"]
     campaign_point = result.best["point"]
 
@@ -130,6 +181,14 @@ def test_campaign_convergence():
         f"{campaign_evals / oneshot_evals:.2f}x one-shot budget)"
     )
 
+    ratio = optimize.seconds / simulate.seconds
+    print(
+        f"campaign optimizer {optimize.seconds:.3f} s over "
+        f"{len(optimize.calls)} rounds vs simulation "
+        f"{simulate.seconds:.3f} s: ratio {ratio:.3f} "
+        f"(gate <= {OPTIMIZER_RATIO_GATE})"
+    )
+
     payload = {
         "benchmark": "campaign_convergence",
         "smoke": SMOKE,
@@ -149,6 +208,11 @@ def test_campaign_convergence():
             "optimum": campaign_point,
             "predicted_score": float(result.best["value"]),
             "simulated_score": score_campaign,
+            "optimizer_rounds": optimize.calls,
+            "optimizer_seconds": optimize.seconds,
+            "simulation_seconds": simulate.seconds,
+            "optimizer_to_simulation": ratio,
+            "optimizer_ratio_gate": OPTIMIZER_RATIO_GATE,
         },
         "savings": {
             "evaluations_saved": int(saved),
@@ -171,6 +235,12 @@ def test_campaign_convergence():
     assert score_campaign >= score_oneshot - SCORE_TOL, (
         f"campaign optimum scores {score_campaign:.3f}, one-shot "
         f"{score_oneshot:.3f} (tolerance {SCORE_TOL})"
+    )
+
+    assert ratio <= OPTIMIZER_RATIO_GATE, (
+        f"campaign optimizer took {optimize.seconds:.3f} s against "
+        f"{simulate.seconds:.3f} s of simulation (ratio {ratio:.3f}, "
+        f"gate {OPTIMIZER_RATIO_GATE})"
     )
 
     oneshot.close()

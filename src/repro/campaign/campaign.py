@@ -38,7 +38,6 @@ its workers regardless.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -50,8 +49,10 @@ from repro.core.doe.base import Design
 from repro.core.explorer import DesignExplorer, ExplorationResult
 from repro.core.optimize import (
     OptimizationOutcome,
+    coded_grid,
     optimize_desirability,
     optimize_surface,
+    shared_predictor,
 )
 from repro.core.rsm.anova import anova_table
 from repro.core.rsm.crossval import loo_residuals, press
@@ -1108,12 +1109,8 @@ class Campaign:
     def _relaxed_optimum(self, surfaces) -> OptimizationOutcome:
         d = self.objective.desirability
         names = list(d.response_names)
-        k = surfaces[names[0]].k
-        axes = [np.linspace(-1.0, 1.0, 7)] * k
-        grid = np.array(list(itertools.product(*axes)))
-        predictions = {
-            name: surfaces[name].predict(grid) for name in names
-        }
+        grid = coded_grid(surfaces[names[0]].k, 7)
+        predictions = shared_predictor(surfaces, names)(grid)
         total = np.zeros(grid.shape[0])
         for name in names:
             part = d.parts[name]

@@ -91,8 +91,38 @@ class Desirability:
         return ((hi - value) / (hi - t)) ** w
 
     def vectorized(self, values: np.ndarray) -> np.ndarray:
-        """Evaluate over an array."""
-        return np.array([self(float(v)) for v in np.asarray(values).ravel()])
+        """Evaluate over an array (flattened).
+
+        Bit-identical to :meth:`__call__` per element: the branches
+        become masks (written so NaN takes the ramp, as it does there)
+        and each ramp is the same arithmetic.
+        """
+        v = np.asarray(values, dtype=float).ravel()
+        lo, hi = self.low, self.high
+        inside = ~((v <= lo) | (v >= hi))
+        if self.goal == "maximize":
+            out = np.where(v >= hi, 1.0, 0.0)
+            out[inside] = self._shape((v[inside] - lo) / (hi - lo))
+        elif self.goal == "minimize":
+            out = np.where(v <= lo, 1.0, 0.0)
+            out[inside] = self._shape((hi - v[inside]) / (hi - lo))
+        else:
+            t = self.target
+            hit = v == t
+            rising = inside & (v < t)
+            falling = inside & ~hit & ~(v < t)
+            out = np.where(inside & hit, 1.0, 0.0)
+            out[rising] = self._shape((v[rising] - lo) / (t - lo))
+            out[falling] = self._shape((hi - v[falling]) / (hi - t))
+        return out
+
+    def _shape(self, ramp: np.ndarray) -> np.ndarray:
+        """``ramp ** weight`` with Python's ``pow`` per element, as
+        :meth:`__call__` computes it (``np.power`` may round
+        differently); a unit weight leaves the ramp exactly as is."""
+        if self.weight == 1.0:
+            return ramp
+        return np.array([r**self.weight for r in ramp.tolist()], dtype=float)
 
     def describe(self) -> str:
         if self.goal == "target":
@@ -136,13 +166,16 @@ class CompositeDesirability:
     def response_names(self) -> tuple[str, ...]:
         return tuple(self.parts)
 
-    def __call__(self, responses: Mapping[str, float]) -> float:
-        """Composite desirability of one response dict, in [0, 1]."""
+    def _require(self, responses: Mapping) -> None:
         missing = set(self.parts) - set(responses)
         if missing:
             raise OptimizationError(
                 f"missing responses for desirability: {sorted(missing)}"
             )
+
+    def __call__(self, responses: Mapping[str, float]) -> float:
+        """Composite desirability of one response dict, in [0, 1]."""
+        self._require(responses)
         total_weight = sum(self.importances.values())
         log_sum = 0.0
         for name, d in self.parts.items():
@@ -151,6 +184,30 @@ class CompositeDesirability:
                 return 0.0
             log_sum += self.importances[name] * math.log(value)
         return math.exp(log_sum / total_weight)
+
+    def vectorized(self, responses: Mapping[str, np.ndarray]) -> np.ndarray:
+        """Composite desirability of response arrays, elementwise.
+
+        Bit-identical to :meth:`__call__` per element: the same
+        log-sum in the same order, with ``math.log``/``math.exp`` per
+        element (a SIMD ``np.log``/``np.exp`` may round differently).
+        """
+        self._require(responses)
+        total_weight = sum(self.importances.values())
+        parts = [
+            (self.importances[name], d.vectorized(responses[name]))
+            for name, d in self.parts.items()
+        ]
+        alive = np.ones(parts[0][1].size, dtype=bool)
+        for _, values in parts:
+            alive &= ~(values <= 0.0)
+        log_sum = np.zeros(int(alive.sum()))
+        for weight, values in parts:
+            logs = [math.log(v) for v in values[alive].tolist()]
+            log_sum += weight * np.array(logs, dtype=float)
+        out = np.zeros(alive.size)
+        out[alive] = [math.exp(s) for s in (log_sum / total_weight).tolist()]
+        return out
 
     def describe(self) -> str:
         return "; ".join(

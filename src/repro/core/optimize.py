@@ -8,9 +8,8 @@ Single-response and composite-desirability variants share machinery.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -38,8 +37,48 @@ class OptimizationOutcome:
     evaluations: int
 
 
-def _grid_axes(k: int, points_per_axis: int) -> list[np.ndarray]:
-    return [np.linspace(-1.0, 1.0, points_per_axis) for _ in range(k)]
+def coded_grid(k: int, points_per_axis: int) -> np.ndarray:
+    """The ``points_per_axis^k`` scan grid over the coded box, one
+    point per row, the last factor varying fastest."""
+    axes = [np.linspace(-1.0, 1.0, points_per_axis)] * k
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
+
+
+def shared_predictor(
+    surfaces: Mapping, names: Sequence[str]
+) -> Callable[[np.ndarray], dict[str, np.ndarray]]:
+    """``x -> {name: predictions}`` over several surfaces.
+
+    Surfaces whose models have identical terms (a campaign fits every
+    response with one model) share one model matrix per call; each
+    surface then applies its coefficients exactly as ``predict``
+    does, so the predictions are bit-identical to it.
+    """
+    slots: dict[tuple, int] = {}
+    build_fns = []
+    plan = []
+    for name in names:
+        surface = surfaces[name]
+        terms = surface.model.terms
+        if terms not in slots:
+            slots[terms] = len(build_fns)
+            build_fns.append(surface.model.build_matrix)
+        plan.append((name, slots[terms], surface.predict_from_matrix))
+
+    def predict(x_coded: np.ndarray) -> dict[str, np.ndarray]:
+        matrices = [build(x_coded) for build in build_fns]
+        return {name: apply(matrices[slot]) for name, slot, apply in plan}
+
+    return predict
+
+
+def _check_scan(points_per_axis: int, n_refine: int) -> None:
+    if points_per_axis < 2:
+        raise OptimizationError(
+            f"points_per_axis must be >= 2, got {points_per_axis}"
+        )
+    if n_refine < 1:
+        raise OptimizationError(f"n_refine must be >= 1, got {n_refine}")
 
 
 def _refine(
@@ -75,25 +114,21 @@ def optimize_surface(
     Dense grid scan (``points_per_axis^k`` evaluations, vectorized)
     followed by gradient refinement from the ``n_refine`` best cells.
     """
-    if points_per_axis < 2:
-        raise OptimizationError(
-            f"points_per_axis must be >= 2, got {points_per_axis}"
-        )
-    if n_refine < 1:
-        raise OptimizationError(f"n_refine must be >= 1, got {n_refine}")
-    k = surface.k
-    axes = _grid_axes(k, points_per_axis)
-    grid = np.array(list(itertools.product(*axes)))
+    _check_scan(points_per_axis, n_refine)
+    grid = coded_grid(surface.k, points_per_axis)
     values = surface.predict(grid)
     evaluations = grid.shape[0]
     order = np.argsort(values)
     seeds = order[::-1][:n_refine] if maximize else order[:n_refine]
+    build, apply = surface.model.build_matrix, surface.predict_from_matrix
+
+    def objective(x: np.ndarray) -> float:
+        return float(apply(build(x))[0])
+
     best_x = grid[seeds[0]]
     best_val = float(values[seeds[0]])
     for seed in seeds:
-        x_ref, val_ref, spent = _refine(
-            lambda x: surface.predict_one(x), grid[seed], maximize
-        )
+        x_ref, val_ref, spent = _refine(objective, grid[seed], maximize)
         evaluations += spent
         better = val_ref > best_val if maximize else val_ref < best_val
         if better:
@@ -131,24 +166,16 @@ def optimize_desirability(
         raise OptimizationError(
             f"no surface fitted for responses: {sorted(missing)}"
         )
+    _check_scan(points_per_axis, n_refine)
     names = list(desirability.response_names)
     ks = {surfaces[name].k for name in names}
     if len(ks) != 1:
         raise OptimizationError(
             "all surfaces must share the same factor space"
         )
-    k = ks.pop()
-    axes = _grid_axes(k, points_per_axis)
-    grid = np.array(list(itertools.product(*axes)))
-    predictions = {name: surfaces[name].predict(grid) for name in names}
-    scores = np.array(
-        [
-            desirability(
-                {name: float(predictions[name][i]) for name in names}
-            )
-            for i in range(grid.shape[0])
-        ]
-    )
+    grid = coded_grid(ks.pop(), points_per_axis)
+    predict = shared_predictor(surfaces, names)
+    scores = desirability.vectorized(predict(grid))
     evaluations = grid.shape[0]
     if np.all(scores <= 0.0):
         raise OptimizationError(
@@ -157,11 +184,11 @@ def optimize_desirability(
         )
     order = np.argsort(scores)[::-1][:n_refine]
 
+    def predict_point(x: np.ndarray) -> dict[str, float]:
+        return {name: float(v[0]) for name, v in predict(x).items()}
+
     def objective(x: np.ndarray) -> float:
-        point = np.atleast_2d(x)
-        return desirability(
-            {name: float(surfaces[name].predict(point)[0]) for name in names}
-        )
+        return desirability(predict_point(x))
 
     best_x = grid[order[0]]
     best_val = float(scores[order[0]])
@@ -170,10 +197,7 @@ def optimize_desirability(
         evaluations += spent
         if val_ref > best_val:
             best_x, best_val = x_ref, val_ref
-    point = np.atleast_2d(best_x)
-    responses = {
-        name: float(surfaces[name].predict(point)[0]) for name in names
-    }
+    responses = predict_point(best_x)
     return OptimizationOutcome(
         x_coded=np.asarray(best_x, dtype=float),
         value=best_val,

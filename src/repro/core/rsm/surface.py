@@ -75,7 +75,11 @@ class ResponseSurface:
 
     def predict(self, x_coded: np.ndarray) -> np.ndarray:
         """Predict at (n, k) coded points (returns length-n vector)."""
-        xm = self.model.build_matrix(x_coded)
+        return self.predict_from_matrix(self.model.build_matrix(x_coded))
+
+    def predict_from_matrix(self, xm: np.ndarray) -> np.ndarray:
+        """Predict from rows of ``self.model.build_matrix`` (so surfaces
+        over one model can share a model matrix)."""
         return xm @ self.coefficients
 
     def predict_one(self, x_coded: np.ndarray) -> float:

@@ -77,7 +77,12 @@ class TransformedSurface:
         return self.base.factor_names
 
     def predict(self, x_coded: np.ndarray) -> np.ndarray:
-        z = self.base.predict(x_coded)
+        return self._untransform(self.base.predict(x_coded))
+
+    def predict_from_matrix(self, xm: np.ndarray) -> np.ndarray:
+        return self._untransform(self.base.predict_from_matrix(xm))
+
+    def _untransform(self, z: np.ndarray) -> np.ndarray:
         out = self._inverse(z)
         if self.transform == "log1p":
             out = np.maximum(out, 0.0)

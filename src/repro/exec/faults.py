@@ -416,11 +416,10 @@ class FaultyQueue(WorkQueue):
     """
 
     def __init__(self, inner: WorkQueue, plan: FaultPlan):
-        super().__init__(max_attempts=inner.max_attempts)
-        # WorkQueue.__init__ sets an instance-level transactions
-        # counter that would shadow __getattr__ delegation; drop it so
-        # reads see the inner queue's live counter.
-        self.__dict__.pop("transactions", None)
+        # WorkQueue.__init__ is deliberately not called: its counters
+        # would shadow __getattr__ delegation, and its metrics
+        # registration would scrape the inner queue's work twice.
+        # max_attempts and the counters read through to the inner queue.
         self._inner = inner
         self.plan = plan
         self.name = f"faulty[{inner.name}]"

@@ -619,12 +619,11 @@ class ResilientQueue(_ResilientBase, WorkQueue):
         retry: RetryPolicy | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
+        # WorkQueue.__init__ is deliberately not called: its counters
+        # would shadow __getattr__ delegation, and its metrics
+        # registration would scrape the inner queue's work twice.
+        # max_attempts and the counters read through to the inner queue.
         _ResilientBase.__init__(self, inner, retry, sleep)
-        WorkQueue.__init__(self, max_attempts=inner.max_attempts)
-        # WorkQueue.__init__ sets an instance-level transactions
-        # counter that would shadow __getattr__ delegation; drop it so
-        # reads see the inner queue's live counter.
-        self.__dict__.pop("transactions", None)
         self.name = f"resilient[{inner.name}]"
 
     def submit(self, jobs: Sequence[Job]) -> int:

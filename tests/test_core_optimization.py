@@ -52,6 +52,28 @@ class TestDesirability:
         lo, hi = sorted((a, b))
         assert d(lo) <= d(hi)
 
+    @given(
+        st.sampled_from(["maximize", "minimize", "target"]),
+        st.sampled_from([1.0, 0.3, 2.0, 2.7]),
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.floats(-3.0, 3.0),
+                st.sampled_from([-1.0, 0.5, 1.0, -0.0]),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_vectorized_is_scalar_bit_for_bit(self, goal, weight, values):
+        d = Desirability(
+            goal, -1.0, 1.0, target=0.5 if goal == "target" else None,
+            weight=weight,
+        )
+        expected = np.array([d(v) for v in values], dtype=float)
+        actual = d.vectorized(np.array(values, dtype=float))
+        assert actual.dtype == expected.dtype
+        assert actual.tobytes() == expected.tobytes()
+
     def test_validation(self):
         with pytest.raises(OptimizationError):
             Desirability("maximize", 1.0, 0.0)
@@ -82,6 +104,40 @@ class TestCompositeDesirability:
     def test_zero_vetoes(self):
         comp = self._composite()
         assert comp({"rate": 20.0, "downtime": 0.5}) == 0.0
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-2.0, 12.0),
+                st.floats(-0.05, 0.15),
+                st.one_of(st.floats(2.0, 4.0), st.sampled_from([3.0, 2.3])),
+            ),
+            max_size=40,
+        ),
+        st.sampled_from([None, {"downtime": 2.0}, {"rate": 0.5, "v": 3.0}]),
+    )
+    def test_vectorized_is_scalar_bit_for_bit(self, rows, importances):
+        comp = CompositeDesirability(
+            {
+                "rate": Desirability("maximize", 0.0, 10.0, weight=1.5),
+                "downtime": Desirability("minimize", 0.0, 0.1),
+                "v": Desirability("target", 2.3, 3.5, target=3.0, weight=0.7),
+            },
+            importances=importances,
+        )
+        names = ("rate", "downtime", "v")
+        columns = {
+            name: np.array([row[i] for row in rows], dtype=float)
+            for i, name in enumerate(names)
+        }
+        expected = np.array(
+            [comp(dict(zip(names, row))) for row in rows], dtype=float
+        )
+        assert comp.vectorized(columns).tobytes() == expected.tobytes()
+
+    def test_vectorized_requires_every_response(self):
+        with pytest.raises(OptimizationError, match="missing responses"):
+            self._composite().vectorized({"rate": np.zeros(3)})
 
     def test_importance_weights(self):
         weighted = CompositeDesirability(
@@ -347,3 +403,23 @@ class TestOptimizeDesirability:
         )
         with pytest.raises(OptimizationError, match="no surface"):
             optimize_desirability(self._surfaces(), comp)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_refine": 0}, "n_refine must be >= 1, got 0"),
+            ({"points_per_axis": 1}, "points_per_axis must be >= 2, got 1"),
+            ({"points_per_axis": 0}, "points_per_axis must be >= 2, got 0"),
+        ],
+    )
+    def test_scan_arguments_validated_like_optimize_surface(
+        self, kwargs, message
+    ):
+        surfaces = self._surfaces()
+        comp = CompositeDesirability(
+            {"rate": Desirability("maximize", 0.0, 10.0)}
+        )
+        with pytest.raises(OptimizationError, match=message):
+            optimize_desirability(surfaces, comp, **kwargs)
+        with pytest.raises(OptimizationError, match=message):
+            optimize_surface(surfaces["rate"], **kwargs)

@@ -92,6 +92,100 @@ class TestModelSpec:
             ModelSpec([Term((0, 0)), Term((1,))])
 
 
+def _stacked_terms(spec, x):
+    """The reference model matrix: one :meth:`Term.evaluate` per term."""
+    return np.column_stack([t.evaluate(x) for t in spec.terms])
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+@st.composite
+def _models(draw):
+    k = draw(st.integers(1, 4))
+    family = draw(st.sampled_from(["linear", "interaction", "quadratic", "cubic"]))
+    spec = getattr(ModelSpec, family)(k)
+    # Stepwise-style reductions: drop some terms, keep at least one.
+    for _ in range(draw(st.integers(0, spec.p - 1))):
+        spec = spec.without(draw(st.sampled_from(spec.terms)))
+    return spec
+
+
+_coded = st.one_of(
+    st.sampled_from([-1.0, 1.0, 0.0, -0.0]),
+    st.floats(-1.0, 1.0),
+    st.floats(-3.0, 3.0),
+)
+
+
+def _points(k):
+    return st.integers(0, 12).flatmap(
+        lambda n: st.lists(
+            st.lists(_coded, min_size=k, max_size=k), min_size=n, max_size=n
+        ).map(lambda rows: np.array(rows, dtype=float).reshape(n, k))
+    )
+
+
+class TestCompiledModelMatrix:
+    """``build_matrix`` runs a precompiled factor plan; it must equal
+    the per-term evaluation bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_standard_and_reduced_models(self, data):
+        spec = data.draw(_models())
+        x = data.draw(_points(spec.k))
+        assert _bits(spec.build_matrix(x)) == _bits(_stacked_terms(spec, x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_points(3))
+    def test_hand_built_mixed_terms(self, x):
+        spec = ModelSpec(
+            [
+                Term((0, 0, 0)),
+                Term((1, 1, 1)),  # x1*x2*x3
+                Term((2, 1, 0)),  # x1^2*x2
+                Term((0, 3, 2)),
+                Term((4, 0, 0)),
+            ]
+        )
+        assert _bits(spec.build_matrix(x)) == _bits(_stacked_terms(spec, x))
+
+    def test_single_point_and_large_grid(self):
+        spec = ModelSpec.quadratic(5)
+        rng = np.random.default_rng(3)
+        for x in (rng.uniform(-1, 1, 5), rng.uniform(-1, 1, (5000, 5))):
+            expected = _stacked_terms(spec, np.atleast_2d(x))
+            assert _bits(spec.build_matrix(x)) == _bits(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from(["identity", "log1p"]))
+    def test_transformed_predict(self, data, transform):
+        from repro.core.rsm.surface import ResponseSurface
+        from repro.core.rsm.transforms import TransformedSurface
+
+        spec = data.draw(_models())
+        x = data.draw(_points(spec.k))
+        coefficients = np.array(
+            data.draw(
+                st.lists(st.floats(-5.0, 5.0), min_size=spec.p, max_size=spec.p)
+            )
+        )
+        base = ResponseSurface(
+            spec, coefficients, tuple(f"x{j}" for j in range(spec.k)),
+            stats=None, x_train=np.empty((0, spec.k)), y_train=np.empty(0),
+        )
+        surface = TransformedSurface(base, transform)
+        z = _stacked_terms(spec, x) @ coefficients
+        expected = z if transform == "identity" else np.maximum(np.expm1(z), 0.0)
+        assert _bits(surface.predict(x)) == _bits(expected)
+
+    def test_column_count_still_checked(self):
+        with pytest.raises(FitError):
+            ModelSpec.linear(3).build_matrix(np.zeros((2, 2)))
+
+
 class TestFitRecovery:
     """OLS must recover known polynomial coefficients."""
 

@@ -19,7 +19,9 @@ import pytest
 import repro.exec.cli as cache_cli
 import repro.obs.cli as metrics_cli
 from repro.exec import EvaluationEngine, Job
+from repro.exec.faults import FaultPlan, FaultSpec, FaultyQueue
 from repro.exec.queue import SQLiteWorkQueue, resolve_queue
+from repro.exec.resilience import ResilientQueue
 from repro.exec.store import MemoryStore, resolve_store
 from repro.exec.worker import Worker, main as worker_main
 from repro.obs import catalog
@@ -98,6 +100,50 @@ class TestCatalogBridge:
             assert len(reclaim_events) == 2
             assert {r["from_worker"] for r in reclaim_events} == {"w1"}
             assert {r["to_worker"] for r in reclaim_events} == {"w2"}
+        finally:
+            queue.close()
+
+    @pytest.mark.parametrize(
+        "stack", ["plain", "faulty", "resilient", "faulty_under_resilient"]
+    )
+    def test_wrapper_stacks_scrape_each_transaction_once(
+        self, tmp_path, stack
+    ):
+        inner = SQLiteWorkQueue(tmp_path / "q.sqlite")
+        # A label of its own, so other live queues cannot blur the sums.
+        label = inner.name = f"stack-{stack}"
+        transient = FaultPlan([FaultSpec("queue", "lease", 1, "transient")])
+        queue = {
+            "plain": lambda: inner,
+            "faulty": lambda: FaultyQueue(inner, FaultPlan()),
+            "resilient": lambda: ResilientQueue(inner),
+            "faulty_under_resilient": lambda: ResilientQueue(
+                FaultyQueue(inner, transient), sleep=lambda _: None
+            ),
+        }[stack]()
+        try:
+            queue.submit([Job("ab" * 30, {"a": 1.0}), Job("cd" * 30, {"a": 2.0})])
+            assert len(queue.lease("w1", n=2)) == 2
+            assert queue.complete("w1", "ab" * 30) is True
+            snap = parse_prometheus(_registry_text())
+            # Wrapper-labelled series (``resilient[...]``) would match too.
+            series = {
+                key: value
+                for key, value in snap.items()
+                if "{queue=" in key and label in key
+            }
+            assert series == {
+                'repro_queue_transactions_total{queue="%s"}' % label:
+                    float(inner.transactions),
+                'repro_lease_grants_total{queue="%s"}' % label:
+                    float(inner.lease_grants),
+                'repro_lease_reclaims_total{queue="%s"}' % label:
+                    float(inner.lease_reclaims),
+            }
+            assert inner.transactions == 3 and inner.lease_grants == 2
+            # The wrapper reads the inner queue's live counters.
+            assert queue.transactions == inner.transactions
+            assert queue.lease_grants == inner.lease_grants
         finally:
             queue.close()
 
