@@ -52,12 +52,10 @@ from repro.fsutil import atomic_write_json
 from repro.analysis.tables import format_table
 from repro.core.doe.lhs import latin_hypercube
 from repro.exec import (
-    CacheStore,
     DistributedBackend,
     EvaluationEngine,
     SQLiteStore,
     SQLiteWorkQueue,
-    WorkQueue,
     queue_for_store,
 )
 from repro.sim.envelope import (
@@ -109,22 +107,37 @@ def _serial_cold_process(n_points: int) -> float:
 class _PerOpStore(SQLiteStore):
     """SQLite store forced back to per-operation wire discipline.
 
-    Assigning the ABC's looping defaults over the batched overrides
-    makes every ``load_many``/``persist_many`` decompose into one
-    store round trip per entry — the pre-amortization cost model —
-    while keeping SQLite semantics (and isinstance checks) intact.
+    Every ``load_many``/``persist_many`` decomposes into one
+    single-entry primitive call — one store round trip — per entry:
+    the pre-amortization cost model, with SQLite semantics (and
+    isinstance checks) intact.
     """
 
-    load_many = CacheStore.load_many
-    persist_many = CacheStore.persist_many
+    def load_many(self, fingerprints):
+        found = {}
+        for fingerprint in dict.fromkeys(fingerprints):
+            found.update(super().load_many([fingerprint]))
+        return found
+
+    def persist_many(self, entries, *, meta=None):
+        for entry in entries:
+            super().persist_many([entry], meta=meta)
 
 
 class _PerOpQueue(SQLiteWorkQueue):
-    """SQLite queue forced back to one transaction per queue call."""
+    """SQLite queue forced back to one transaction per job transition."""
 
-    complete_many = WorkQueue.complete_many
-    fail_many = WorkQueue.fail_many
-    heartbeat_many = WorkQueue.heartbeat_many
+    def complete_many(self, worker_id, completions, *, now=None):
+        done = 0
+        for completion in completions:
+            done += super().complete_many(worker_id, [completion], now=now)
+        return done
+
+    def fail_many(self, worker_id, failures, now=None):
+        failed = 0
+        for failure in failures:
+            failed += super().fail_many(worker_id, [failure], now)
+        return failed
 
 
 def _measure_substrate_ops(

@@ -232,29 +232,16 @@ class EvalCache:
 
     def get(self, fingerprint: str) -> dict[str, float] | None:
         """Responses for a fingerprint, or None (counts hit/miss)."""
-        before = self._store_counters()
-        entry = self.store.load(fingerprint)
-        self._absorb_store_delta(before)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return dict(entry)
+        return self.get_many([fingerprint]).get(fingerprint)
 
     def put(self, fingerprint: str, responses: Mapping[str, float]) -> None:
         """Store an evaluation (refreshes recency on overwrite)."""
-        if not isinstance(fingerprint, str):
-            raise ReproError(
-                f"fingerprint must be a string, got {type(fingerprint)!r}"
-            )
-        before = self._store_counters()
-        self.store.persist(fingerprint, dict(responses))
-        self._absorb_store_delta(before)
+        self.put_many([(fingerprint, responses)])
 
     def get_many(
         self, fingerprints: Sequence[str]
     ) -> dict[str, dict[str, float]]:
-        """Batched :meth:`get`: one store round trip for the lot.
+        """Responses for many fingerprints: one store round trip.
 
         Counts one hit per unique found fingerprint and one miss per
         unique absent one — identical totals to a ``get`` loop, for
@@ -273,7 +260,7 @@ class EvalCache:
     def put_many(
         self, entries: Sequence[tuple[str, Mapping[str, float]]]
     ) -> None:
-        """Batched :meth:`put`: one store round trip for the lot."""
+        """Store many evaluations: one store round trip for the lot."""
         if not entries:
             return
         rows: list[tuple[str, Mapping[str, float]]] = []

@@ -33,10 +33,12 @@ Fault kinds (:data:`FAULT_KINDS`):
     Raise :class:`OSError` — a non-retryable failure, for exercising
     circuit breakers and store degradation.
 ``torn``
-    Partial write: persist half the payload bytes to the real blob
-    path, then raise a transient error as a real torn write would.
-    Stores already treat truncated blobs as misses, so the entry is
-    re-persisted on retry or re-simulated on miss — never trusted.
+    Partial write on ``persist_many``: the first half of the batch
+    lands, half the payload bytes of the next entry are written to its
+    real blob path, then a transient error is raised as a real torn
+    write would.  Stores already treat truncated blobs as misses, so
+    the entry is re-persisted on retry or re-simulated on miss —
+    never trusted.
 ``expire_lease``
     The lease is granted already expired (``lease_seconds=0``), so a
     reclaim immediately hands the same job to someone else — the
@@ -49,6 +51,7 @@ Fault kinds (:data:`FAULT_KINDS`):
 
 from __future__ import annotations
 
+import json
 import sqlite3
 import threading
 from dataclasses import dataclass, replace
@@ -76,6 +79,24 @@ FAULT_KINDS = (
 #: Wrapper targets a spec can aim at.
 FAULT_TARGETS = ("store", "queue", "worker")
 
+#: The operations each target counts — what :class:`FaultyStore` and
+#: :class:`FaultyQueue` tick, and the worker-kill marker's
+#: ``evaluate``.  A spec may also name ``"*"`` (any operation).
+FAULT_OPS = {
+    "store": ("peek", "load_many", "persist_many", "discard", "clear"),
+    "queue": (
+        "submit",
+        "lease",
+        "complete_many",
+        "fail_many",
+        "heartbeat",
+        "reclaim",
+        "requeue",
+        "purge",
+    ),
+    "worker": ("evaluate",),
+}
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -83,9 +104,9 @@ class FaultSpec:
 
     Attributes:
         target: ``"store"``, ``"queue"`` or ``"worker"``.
-        op: operation name the fault rides on (``"persist"``,
-            ``"lease"``, ...); ``"*"`` matches any operation on the
-            target.
+        op: operation name the fault rides on, one of the target's
+            :data:`FAULT_OPS` (``"persist_many"``, ``"lease"``, ...);
+            ``"*"`` matches any operation on the target.
         at: fire on the Nth matching call, 1-based, counted per
             ``(target, op)`` pattern.
         kind: one of :data:`FAULT_KINDS`.
@@ -101,6 +122,11 @@ class FaultSpec:
             raise ReproError(
                 f"unknown fault target {self.target!r}; "
                 f"expected one of {FAULT_TARGETS}"
+            )
+        if self.op != "*" and self.op not in FAULT_OPS[self.target]:
+            raise ReproError(
+                f"unknown {self.target} fault op {self.op!r}; "
+                f"expected '*' or one of {FAULT_OPS[self.target]}"
             )
         if self.kind not in FAULT_KINDS:
             raise ReproError(
@@ -169,30 +195,23 @@ class FaultPlan:
             specs.append(
                 FaultSpec(
                     "store",
-                    rng.choice(
-                        ("persist", "load", "peek", "load_many", "persist_many")
-                    ),
+                    rng.choice(("peek", "load_many", "persist_many")),
                     rng.randint(1, horizon),
                     rng.choice(("transient", "locked")),
                 )
             )
         for _ in range(torn_writes):
             specs.append(
-                FaultSpec("store", "persist", rng.randint(1, horizon), "torn")
+                FaultSpec(
+                    "store", "persist_many", rng.randint(1, horizon), "torn"
+                )
             )
         for _ in range(queue_ops):
             specs.append(
                 FaultSpec(
                     "queue",
                     rng.choice(
-                        (
-                            "submit",
-                            "lease",
-                            "complete",
-                            "heartbeat",
-                            "complete_many",
-                            "heartbeat_many",
-                        )
+                        ("submit", "lease", "complete_many", "heartbeat")
                     ),
                     rng.randint(1, horizon),
                     rng.choice(("transient", "locked")),
@@ -279,10 +298,11 @@ class FaultyStore(CacheStore):
     """A :class:`CacheStore` that executes a :class:`FaultPlan`.
 
     Faults fire *before* the delegated call (the operation is lost,
-    as with a real error), except ``torn`` on ``persist``, which
-    first leaves a half-written blob at the real path when the
-    wrapped store is file-backed — the nastier failure, because a
-    corpse is left on disk for ``load``/``verify`` to distrust.
+    as with a real error), except on ``persist_many``, where the first
+    half of the batch lands before the error.  ``torn`` then also
+    leaves a half-written blob for the next entry when the wrapped
+    store is file-backed — the nastier failure, because a corpse is
+    left on disk for ``load``/``verify`` to distrust.
     """
 
     def __init__(self, inner: CacheStore, plan: FaultPlan):
@@ -301,45 +321,16 @@ class FaultyStore(CacheStore):
         # through so contract-suite corruption hooks keep working.
         return getattr(self._inner, name)
 
-    def _fault(self, op: str, fingerprint: str | None = None, responses=None):
+    def _fault(self, op: str) -> None:
         spec = self.plan.tick("store", op)
-        if spec is None:
-            return
-        if (
-            spec.kind == "torn"
-            and op == "persist"
-            and fingerprint is not None
-            and hasattr(self._inner, "_path")
-        ):
-            # Leave a genuinely torn blob behind before failing.
-            import json
-
-            payload = json.dumps(
-                {"fingerprint": fingerprint, "responses": responses or {}}
-            )
-            path = self._inner._path(fingerprint)
-            path.write_text(payload[: max(len(payload) // 2, 1)])
-        _raise_store_fault(spec, op)
+        if spec is not None:
+            _raise_store_fault(spec, op)
 
     # -- CacheStore contract, fault check first, then delegate -----------------
-
-    def load(self, fingerprint: str):
-        self._fault("load")
-        return self._inner.load(fingerprint)
 
     def peek(self, fingerprint: str):
         self._fault("peek")
         return self._inner.peek(fingerprint)
-
-    def persist(
-        self,
-        fingerprint: str,
-        responses: Mapping[str, float],
-        *,
-        meta: EntryMeta | None = None,
-    ) -> None:
-        self._fault("persist", fingerprint, dict(responses))
-        self._inner.persist(fingerprint, responses, meta=meta)
 
     def load_many(
         self, fingerprints: Sequence[str]
@@ -348,7 +339,10 @@ class FaultyStore(CacheStore):
         return self._inner.load_many(fingerprints)
 
     def persist_many(
-        self, entries: Sequence[tuple[str, Mapping[str, float]]]
+        self,
+        entries: Sequence[tuple[str, Mapping[str, float]]],
+        *,
+        meta: Mapping[str, EntryMeta] | None = None,
     ) -> None:
         entries = list(entries)
         spec = self.plan.tick("store", "persist_many")
@@ -356,9 +350,23 @@ class FaultyStore(CacheStore):
             # A mid-batch failure: the first half of the batch
             # genuinely lands before the error surfaces, so retries
             # must be idempotent to neither lose nor double-apply.
-            self._inner.persist_many(entries[: len(entries) // 2])
+            landed = len(entries) // 2
+            self._inner.persist_many(entries[:landed], meta=meta)
+            if (
+                spec.kind == "torn"
+                and landed < len(entries)
+                and hasattr(self._inner, "_path")
+            ):
+                # Leave a genuinely torn blob behind before failing.
+                fingerprint, responses = entries[landed]
+                payload = json.dumps(
+                    {"fingerprint": fingerprint, "responses": dict(responses)}
+                )
+                self._inner._path(fingerprint).write_text(
+                    payload[: max(len(payload) // 2, 1)]
+                )
             _raise_store_fault(spec, "persist_many")
-        self._inner.persist_many(entries)
+        self._inner.persist_many(entries, meta=meta)
 
     def discard(self, fingerprint: str) -> bool:
         self._fault("discard")
@@ -456,29 +464,6 @@ class FaultyQueue(WorkQueue):
             lease_seconds = 0.0
         return self._inner.lease(worker_id, n, lease_seconds, now)
 
-    def complete(
-        self,
-        worker_id: str,
-        job_id: str,
-        *,
-        seconds: float = 0.0,
-        now: float | None = None,
-    ) -> bool:
-        self._fault("complete")
-        return self._inner.complete(
-            worker_id, job_id, seconds=seconds, now=now
-        )
-
-    def fail(
-        self,
-        worker_id: str,
-        job_id: str,
-        error: str = "",
-        now: float | None = None,
-    ) -> bool:
-        self._fault("fail")
-        return self._inner.fail(worker_id, job_id, error, now)
-
     def heartbeat(
         self,
         worker_id: str,
@@ -514,18 +499,6 @@ class FaultyQueue(WorkQueue):
     ) -> int:
         self._fault("fail_many")
         return self._inner.fail_many(worker_id, failures, now)
-
-    def heartbeat_many(
-        self,
-        worker_id: str,
-        job_ids: Sequence[str],
-        lease_seconds: float = 60.0,
-        now: float | None = None,
-    ) -> int:
-        self._fault("heartbeat_many")
-        return self._inner.heartbeat_many(
-            worker_id, job_ids, lease_seconds, now
-        )
 
     def reclaim(self, now: float | None = None) -> int:
         self._fault("reclaim")

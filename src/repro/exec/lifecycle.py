@@ -334,11 +334,14 @@ def merge_stores(dest: CacheStore, source: CacheStore) -> TransferReport:
     blobs, so a bad source entry can never be laundered into a
     destination that would then serve it.  Entry metadata (creation
     time, last use, hit counts) travels with the blob, so TTL GC on
-    the destination still sees the entry's true age.
+    the destination still sees the entry's true age.  The copies land
+    in one ``persist_many`` round trip.
     """
     if dest is source:
         raise ReproError("cannot merge a store into itself")
     report = TransferReport()
+    copies: list[tuple[str, dict[str, float]]] = []
+    metas: dict[str, EntryMeta] = {}
     for fingerprint, responses in source.items():
         report.scanned += 1
         meta = source.entry_meta(fingerprint)
@@ -349,9 +352,12 @@ def merge_stores(dest: CacheStore, source: CacheStore) -> TransferReport:
             ):
                 report.skipped += 1
                 continue
-        dest.persist(fingerprint, responses, meta=meta)
+        copies.append((fingerprint, responses))
+        if meta is not None:
+            metas[fingerprint] = meta
         report.copied += 1
         report.bytes_copied += meta.size_bytes if meta else 0
+    dest.persist_many(copies, meta=metas)
     return report
 
 

@@ -218,13 +218,13 @@ class WorkQueue(ABC):
     is a no-op returning False), and every transition is atomic, so a
     killed worker can delay a point but never lose one.
 
-    Batch variants (:meth:`complete_many` / :meth:`fail_many` /
-    :meth:`heartbeat_many`) fold a worker batch's transitions into one
-    substrate round trip where the implementation can (one SQLite
-    transaction); their defaults loop the per-job primitives, so every
-    queue honours the same laws: empty input touches nothing, each
-    pair applies in order, and the return value counts transitions
-    that actually happened.
+    Each queue implements the batched transitions
+    (:meth:`complete_many` / :meth:`fail_many`), which fold a worker
+    batch into one substrate round trip (one SQLite transaction) under
+    the same laws everywhere: empty input touches nothing, each pair
+    applies in order, and the return value counts transitions that
+    actually happened.  :meth:`complete` and :meth:`fail` are
+    one-job batches of them.
 
     Args:
         max_attempts: leases after which a job goes terminally
@@ -271,28 +271,6 @@ class WorkQueue(ABC):
         """Atomically claim up to ``n`` runnable jobs for a worker."""
 
     @abstractmethod
-    def complete(
-        self,
-        worker_id: str,
-        job_id: str,
-        *,
-        seconds: float = 0.0,
-        now: float | None = None,
-    ) -> bool:
-        """Mark a leased job done; False if the lease is not held."""
-
-    @abstractmethod
-    def fail(
-        self,
-        worker_id: str,
-        job_id: str,
-        error: str = "",
-        now: float | None = None,
-    ) -> bool:
-        """Record a failed attempt — back to pending, or terminally
-        failed once ``max_attempts`` leases are spent."""
-
-    @abstractmethod
     def heartbeat(
         self,
         worker_id: str,
@@ -303,6 +281,7 @@ class WorkQueue(ABC):
 
     # -- batched transitions ---------------------------------------------------
 
+    @abstractmethod
     def complete_many(
         self,
         worker_id: str,
@@ -314,15 +293,11 @@ class WorkQueue(ABC):
 
         ``completions`` is ``(job_id, seconds)`` pairs, applied in
         order; returns how many transitions the worker's lease still
-        covered.  This default loops :meth:`complete`; SQLite folds
-        the batch into one transaction.
+        covered (a job whose lease the worker does not hold is left
+        alone).
         """
-        done = 0
-        for job_id, seconds in completions:
-            if self.complete(worker_id, job_id, seconds=seconds, now=now):
-                done += 1
-        return done
 
+    @abstractmethod
     def fail_many(
         self,
         worker_id: str,
@@ -330,31 +305,30 @@ class WorkQueue(ABC):
         now: float | None = None,
     ) -> int:
         """Record many failed attempts (``(job_id, error)`` pairs) in
-        one call; returns how many the worker's lease still covered."""
-        failed = 0
-        for job_id, error in failures:
-            if self.fail(worker_id, job_id, error, now=now):
-                failed += 1
-        return failed
+        one call — each job back to pending, or terminally failed once
+        ``max_attempts`` leases are spent; returns how many the
+        worker's lease still covered."""
 
-    def heartbeat_many(
+    def complete(
         self,
         worker_id: str,
-        job_ids: Sequence[str],
-        lease_seconds: float = 60.0,
+        job_id: str,
+        *,
+        seconds: float = 0.0,
         now: float | None = None,
-    ) -> int:
-        """Extend the named leases the worker holds; returns how many
-        leases were extended.
+    ) -> bool:
+        """Mark a leased job done; False if the lease is not held."""
+        return self.complete_many(worker_id, [(job_id, seconds)], now=now) > 0
 
-        This default delegates to :meth:`heartbeat`, which extends
-        *every* lease the worker holds — a documented superset (the
-        return value may exceed ``len(job_ids)``).  Implementations
-        that can target the named jobs cheaply override it.
-        """
-        if not job_ids:
-            return 0
-        return self.heartbeat(worker_id, lease_seconds, now)
+    def fail(
+        self,
+        worker_id: str,
+        job_id: str,
+        error: str = "",
+        now: float | None = None,
+    ) -> bool:
+        """Record a failed attempt; False if the lease is not held."""
+        return self.fail_many(worker_id, [(job_id, error)], now) > 0
 
     @abstractmethod
     def reclaim(self, now: float | None = None) -> int:
@@ -683,21 +657,6 @@ class SQLiteWorkQueue(WorkQueue):
             return None
         return _validate_point(decoded)
 
-    def complete(
-        self,
-        worker_id: str,
-        job_id: str,
-        *,
-        seconds: float = 0.0,
-        now: float | None = None,
-    ) -> bool:
-        self.transactions += 1
-        clock = time.time() if now is None else now
-        cursor = self._conn.execute(
-            self._COMPLETE_SQL, (clock, seconds, job_id, worker_id)
-        )
-        return cursor.rowcount > 0
-
     _COMPLETE_SQL = (
         "UPDATE queue_jobs SET status = 'done', completed_at = ?,"
         " seconds = ?, lease_expires_at = NULL, error = NULL"
@@ -761,47 +720,6 @@ class SQLiteWorkQueue(WorkQueue):
             self._conn.execute("ROLLBACK")
             raise
         return failed
-
-    def heartbeat_many(
-        self,
-        worker_id: str,
-        job_ids: Sequence[str],
-        lease_seconds: float = 60.0,
-        now: float | None = None,
-    ) -> int:
-        if not job_ids:
-            return 0
-        self.transactions += 1
-        clock = time.time() if now is None else now
-        unique = list(dict.fromkeys(job_ids))
-        extended = 0
-        # Chunk the IN list well under SQLite's host-parameter cap.
-        for start in range(0, len(unique), 500):
-            chunk = unique[start : start + 500]
-            marks = ",".join("?" * len(chunk))
-            cursor = self._conn.execute(
-                "UPDATE queue_jobs SET lease_expires_at = ?,"
-                " heartbeat_at = ?"
-                " WHERE status = 'leased' AND worker_id = ?"
-                f" AND job_id IN ({marks})",
-                (clock + lease_seconds, clock, worker_id, *chunk),
-            )
-            extended += max(cursor.rowcount, 0)
-        return extended
-
-    def fail(
-        self,
-        worker_id: str,
-        job_id: str,
-        error: str = "",
-        now: float | None = None,
-    ) -> bool:
-        self.transactions += 1
-        cursor = self._conn.execute(
-            self._FAIL_SQL,
-            (self.max_attempts, error or None, job_id, worker_id),
-        )
-        return cursor.rowcount > 0
 
     def heartbeat(
         self,
@@ -1190,18 +1108,6 @@ class FileWorkQueue(WorkQueue):
             )
         return claimed
 
-    def complete(
-        self,
-        worker_id: str,
-        job_id: str,
-        *,
-        seconds: float = 0.0,
-        now: float | None = None,
-    ) -> bool:
-        self.transactions += 1
-        clock = time.time() if now is None else now
-        return self._complete_one(worker_id, job_id, seconds, clock)
-
     def _complete_one(
         self, worker_id: str, job_id: str, seconds: float, clock: float
     ) -> bool:
@@ -1245,16 +1151,6 @@ class FileWorkQueue(WorkQueue):
             if self._complete_one(worker_id, job_id, seconds, clock):
                 done += 1
         return done
-
-    def fail(
-        self,
-        worker_id: str,
-        job_id: str,
-        error: str = "",
-        now: float | None = None,
-    ) -> bool:
-        self.transactions += 1
-        return self._fail_one(worker_id, job_id, error)
 
     def _fail_one(self, worker_id: str, job_id: str, error: str) -> bool:
         path = self._path(job_id, "leased")
@@ -1305,37 +1201,15 @@ class FileWorkQueue(WorkQueue):
     ) -> int:
         self.transactions += 1
         clock = time.time() if now is None else now
-        return self._extend_leases(worker_id, None, lease_seconds, clock)
-
-    def heartbeat_many(
-        self,
-        worker_id: str,
-        job_ids: Sequence[str],
-        lease_seconds: float = 60.0,
-        now: float | None = None,
-    ) -> int:
-        if not job_ids:
-            return 0
-        self.transactions += 1
-        clock = time.time() if now is None else now
-        return self._extend_leases(
-            worker_id, set(job_ids), lease_seconds, clock
-        )
+        return self._extend_leases(worker_id, lease_seconds, clock)
 
     def _extend_leases(
-        self,
-        worker_id: str,
-        job_ids: set[str] | None,
-        lease_seconds: float,
-        clock: float,
+        self, worker_id: str, lease_seconds: float, clock: float
     ) -> int:
-        """One directory scan extending the worker's leases —
-        all of them, or only the named subset."""
+        """One directory scan extending every lease the worker holds."""
         extended = 0
-        for job_id, status, path in self._job_files():
+        for _job_id, status, path in self._job_files():
             if status != "leased":
-                continue
-            if job_ids is not None and job_id not in job_ids:
                 continue
             blob = self._read(path)
             if blob is None or blob.get("worker_id") != worker_id:

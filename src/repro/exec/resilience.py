@@ -457,16 +457,6 @@ class ResilientStore(_ResilientBase, CacheStore):
 
     # -- the CacheStore contract -----------------------------------------------
 
-    def load(self, fingerprint: str):
-        # Snapshot the overlay first: a half-open probe reads the
-        # inner store *before* the recovery flush lands this entry,
-        # so an overlay hit must win over an inner miss.
-        overlaid = self._overlay.load(fingerprint)
-        result = self._guarded(
-            self._inner.load, fingerprint, fallback=None
-        )
-        return result if result is not None else overlaid
-
     def peek(self, fingerprint: str):
         overlaid = self._overlay.peek(fingerprint)
         result = self._guarded(
@@ -474,30 +464,14 @@ class ResilientStore(_ResilientBase, CacheStore):
         )
         return result if result is not None else overlaid
 
-    def persist(
-        self,
-        fingerprint: str,
-        responses: Mapping[str, float],
-        *,
-        meta: EntryMeta | None = None,
-    ) -> None:
-        self._guarded(
-            self._inner.persist,
-            fingerprint,
-            responses,
-            meta=meta,
-            fallback=lambda: self._overlay.persist(
-                fingerprint, responses, meta=meta
-            ),
-        )
-
     def load_many(
         self, fingerprints: Sequence[str]
     ) -> dict[str, dict[str, float]]:
         if not fingerprints:
             return {}
-        # Overlay snapshot first, same as load(): an overlay hit must
-        # win over an inner miss while a recovery flush is pending.
+        # Snapshot the overlay first: a half-open probe reads the
+        # inner store *before* the recovery flush lands these entries,
+        # so an overlay hit must win over an inner miss.
         overlaid = self._overlay.load_many(fingerprints)
         result = self._guarded(
             self._inner.load_many, fingerprints, fallback=None
@@ -515,7 +489,10 @@ class ResilientStore(_ResilientBase, CacheStore):
         return out
 
     def persist_many(
-        self, entries: Sequence[tuple[str, Mapping[str, float]]]
+        self,
+        entries: Sequence[tuple[str, Mapping[str, float]]],
+        *,
+        meta: Mapping[str, EntryMeta] | None = None,
     ) -> None:
         if not entries:
             return
@@ -526,7 +503,8 @@ class ResilientStore(_ResilientBase, CacheStore):
         self._guarded(
             self._inner.persist_many,
             entries,
-            fallback=lambda: self._overlay.persist_many(entries),
+            meta=meta,
+            fallback=lambda: self._overlay.persist_many(entries, meta=meta),
         )
 
     def discard(self, fingerprint: str) -> bool:
@@ -640,33 +618,6 @@ class ResilientQueue(_ResilientBase, WorkQueue):
             self._inner.lease, worker_id, n, lease_seconds, now
         )
 
-    def complete(
-        self,
-        worker_id: str,
-        job_id: str,
-        *,
-        seconds: float = 0.0,
-        now: float | None = None,
-    ) -> bool:
-        return self._retry_call(
-            self._inner.complete,
-            worker_id,
-            job_id,
-            seconds=seconds,
-            now=now,
-        )
-
-    def fail(
-        self,
-        worker_id: str,
-        job_id: str,
-        error: str = "",
-        now: float | None = None,
-    ) -> bool:
-        return self._retry_call(
-            self._inner.fail, worker_id, job_id, error, now
-        )
-
     def heartbeat(
         self,
         worker_id: str,
@@ -699,21 +650,6 @@ class ResilientQueue(_ResilientBase, WorkQueue):
     ) -> int:
         return self._retry_call(
             self._inner.fail_many, worker_id, list(failures), now
-        )
-
-    def heartbeat_many(
-        self,
-        worker_id: str,
-        job_ids: Sequence[str],
-        lease_seconds: float = 60.0,
-        now: float | None = None,
-    ) -> int:
-        return self._retry_call(
-            self._inner.heartbeat_many,
-            worker_id,
-            list(job_ids),
-            lease_seconds,
-            now,
         )
 
     def reclaim(self, now: float | None = None) -> int:

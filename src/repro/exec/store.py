@@ -85,11 +85,12 @@ class StoreStats:
             (:func:`repro.exec.lifecycle.collect`).
         bytes_reclaimed: approximate bytes freed by GC and compaction.
         compactions: ``compact()`` passes run against this store.
-        round_trips: hot-path store API calls (``load`` / ``peek`` /
-            ``persist`` / ``load_many`` / ``persist_many``) — each is
-            one client<->substrate round trip, so a batched call that
-            serves N entries still counts 1.  ``loads - round_trips``
-            therefore measures how much traffic batching amortized.
+        round_trips: hot-path store API calls (``peek`` /
+            ``load_many`` / ``persist_many``, and ``load`` / ``persist``
+            as one-entry batches) — each is one client<->substrate
+            round trip, so a batched call that serves N entries still
+            counts 1.  ``loads - round_trips`` therefore measures how
+            much traffic batching amortized.
         stats_saved: filesystem ``stat`` calls the file store avoided
             by reusing its directory-scan metadata in ``load_many``
             (other stores never tick it).
@@ -245,11 +246,16 @@ class CacheStore(ABC):
     """Where evaluation-cache entries live.
 
     The contract is a string-keyed blob map with deterministic values:
-    ``persist`` may be called repeatedly for one fingerprint (always
-    with an identical payload, evaluations being pure), ``load``
-    returns None for anything absent or untrustworthy, and no method
-    raises for data-level problems — a store that cannot answer simply
-    misses and the engine re-simulates.
+    a fingerprint may be persisted repeatedly (always with an
+    identical payload, evaluations being pure), a load answers nothing
+    for anything absent or untrustworthy, and no method raises for
+    data-level problems — a store that cannot answer simply misses and
+    the engine re-simulates.
+
+    Each store implements the batched primitives :meth:`load_many`
+    and :meth:`persist_many`; :meth:`load` and :meth:`persist` are
+    one-entry batches of them, so every store and wrapper has exactly
+    one code path per operation.
 
     On top of the map, every store exposes the lifecycle surface that
     :mod:`repro.exec.lifecycle` and the ``repro-cache`` CLI build on:
@@ -267,31 +273,13 @@ class CacheStore(ABC):
         # only when scraped, so the store's hot path pays nothing.
         track_store(self)
 
-    @abstractmethod
-    def load(self, fingerprint: str) -> dict[str, float] | None:
-        """Responses persisted under a fingerprint, or None."""
+    # -- the batched primitives ------------------------------------------------
 
     @abstractmethod
-    def persist(
-        self,
-        fingerprint: str,
-        responses: Mapping[str, float],
-        *,
-        meta: EntryMeta | None = None,
-    ) -> None:
-        """Durably associate responses with a fingerprint.
-
-        ``meta`` carries timestamps/hits to preserve when an entry is
-        copied between stores (export/merge); plain evaluation traffic
-        leaves it None and the store stamps the entry itself.
-        """
-
-    # -- batched hot path ------------------------------------------------------
-
     def load_many(
         self, fingerprints: Sequence[str]
     ) -> dict[str, dict[str, float]]:
-        """Batch :meth:`load`: hits only, keyed by fingerprint.
+        """Responses for many fingerprints in one round trip.
 
         The contract every store honours:
 
@@ -300,35 +288,42 @@ class CacheStore(ABC):
         * result insertion order is the input's first-occurrence order
           (so ``zip``-style reassembly stays deterministic);
         * an empty input returns ``{}`` without touching the store.
-
-        This default loops :meth:`load`, so it costs one round trip
-        per unique fingerprint; the shipped stores override it with a
-        single-transaction / single-directory-scan implementation that
-        costs one.
         """
-        out: dict[str, dict[str, float]] = {}
-        seen: set[str] = set()
-        for fingerprint in fingerprints:
-            if fingerprint in seen:
-                continue
-            seen.add(fingerprint)
-            responses = self.load(fingerprint)
-            if responses is not None:
-                out[fingerprint] = responses
-        return out
 
+    @abstractmethod
     def persist_many(
-        self, entries: Sequence[tuple[str, Mapping[str, float]]]
+        self,
+        entries: Sequence[tuple[str, Mapping[str, float]]],
+        *,
+        meta: Mapping[str, EntryMeta] | None = None,
     ) -> None:
-        """Batch :meth:`persist` of ``(fingerprint, responses)`` pairs.
+        """Durably store ``(fingerprint, responses)`` pairs in one
+        round trip.
 
         Duplicate fingerprints are legal and resolve last-wins (the
-        pairs apply in order); an empty input touches nothing.  This
-        default loops :meth:`persist`; the shipped stores override it
-        to apply the whole batch in one transaction / one round trip.
+        pairs apply in order); an empty input touches nothing.
+        ``meta`` maps fingerprints to the timestamps/hits to preserve
+        when entries are copied between stores (export/merge); plain
+        evaluation traffic leaves it None and the store stamps each
+        entry itself.
         """
-        for fingerprint, responses in entries:
-            self.persist(fingerprint, responses)
+
+    def load(self, fingerprint: str) -> dict[str, float] | None:
+        """Responses persisted under a fingerprint, or None."""
+        return self.load_many([fingerprint]).get(fingerprint)
+
+    def persist(
+        self,
+        fingerprint: str,
+        responses: Mapping[str, float],
+        *,
+        meta: EntryMeta | None = None,
+    ) -> None:
+        """Durably associate responses with a fingerprint."""
+        self.persist_many(
+            [(fingerprint, responses)],
+            meta=None if meta is None else {fingerprint: meta},
+        )
 
     @abstractmethod
     def peek(self, fingerprint: str) -> dict[str, float] | None:
@@ -476,10 +471,6 @@ class MemoryStore(CacheStore):
         self._entries: OrderedDict[str, dict[str, float]] = OrderedDict()
         self._meta: dict[str, EntryMeta] = {}
 
-    def load(self, fingerprint: str) -> dict[str, float] | None:
-        self.stats.round_trips += 1
-        return self._load_entry(fingerprint)
-
     def _load_entry(self, fingerprint: str) -> dict[str, float] | None:
         entry = self._entries.get(fingerprint)
         if entry is None:
@@ -512,23 +503,19 @@ class MemoryStore(CacheStore):
         return dict(entry) if entry is not None else None
 
     def persist_many(
-        self, entries: Sequence[tuple[str, Mapping[str, float]]]
+        self,
+        entries: Sequence[tuple[str, Mapping[str, float]]],
+        *,
+        meta: Mapping[str, EntryMeta] | None = None,
     ) -> None:
         if not entries:
             return
         self.stats.round_trips += 1
+        metas = meta or {}
         for fingerprint, responses in entries:
-            self._persist_entry(fingerprint, responses, meta=None)
-
-    def persist(
-        self,
-        fingerprint: str,
-        responses: Mapping[str, float],
-        *,
-        meta: EntryMeta | None = None,
-    ) -> None:
-        self.stats.round_trips += 1
-        self._persist_entry(fingerprint, responses, meta=meta)
+            self._persist_entry(
+                fingerprint, responses, meta=metas.get(fingerprint)
+            )
 
     def _persist_entry(
         self,
@@ -655,28 +642,6 @@ class FileStore(CacheStore):
     def _is_blob_name(cls, name: str) -> bool:
         return name.endswith(cls._SUFFIX) and not name.startswith(".")
 
-    def load(self, fingerprint: str) -> dict[str, float] | None:
-        self.stats.round_trips += 1
-        path = self._path(fingerprint)
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError:
-            # Any unreadable entry — absent, permissions, transient
-            # I/O — is a plain miss: evaluations are deterministic,
-            # so the engine just re-simulates.
-            return None
-        try:
-            blob = json.loads(raw)
-        except ValueError:
-            blob = None
-        responses = _validate_blob(blob, fingerprint)
-        if responses is None:
-            self._drop(path)
-            return None
-        self._touch_atime(path)
-        self.stats.loads += 1
-        return responses
-
     def load_many(
         self, fingerprints: Sequence[str]
     ) -> dict[str, dict[str, float]]:
@@ -712,6 +677,9 @@ class FileStore(CacheStore):
             try:
                 raw = path.read_text(encoding="utf-8")
             except OSError:
+                # Any unreadable entry — permissions, transient I/O —
+                # is a plain miss: evaluations are deterministic, so
+                # the engine just re-simulates.
                 continue
             try:
                 blob = json.loads(raw)
@@ -721,6 +689,8 @@ class FileStore(CacheStore):
             if responses is None:
                 self._drop(path)
                 continue
+            # Record the load as the entry's last use (atime), keeping
+            # mtime — the creation stamp — intact.
             try:
                 os.utime(path, times=(time.time(), stat.st_mtime))
             except OSError:  # pragma: no cover - raced away
@@ -748,16 +718,6 @@ class FileStore(CacheStore):
             return None
         return _validate_blob(blob, fingerprint)
 
-    @staticmethod
-    def _touch_atime(path: Path) -> None:
-        """Record the load as the entry's last use (atime), keeping
-        mtime — the creation stamp — intact."""
-        try:
-            stat = path.stat()
-            os.utime(path, times=(time.time(), stat.st_mtime))
-        except OSError:  # pragma: no cover - entry raced away
-            pass
-
     def _drop(self, path: Path) -> None:
         try:
             path.unlink()
@@ -765,26 +725,22 @@ class FileStore(CacheStore):
             pass
         self.stats.invalidations += 1
 
-    def persist(
-        self,
-        fingerprint: str,
-        responses: Mapping[str, float],
-        *,
-        meta: EntryMeta | None = None,
-    ) -> None:
-        self.stats.round_trips += 1
-        self._persist_entry(fingerprint, responses, meta=meta)
-
     def persist_many(
-        self, entries: Sequence[tuple[str, Mapping[str, float]]]
+        self,
+        entries: Sequence[tuple[str, Mapping[str, float]]],
+        *,
+        meta: Mapping[str, EntryMeta] | None = None,
     ) -> None:
         # Files have no transactions — the batch is still one round
         # trip of the store API, applied as per-entry atomic renames.
         if not entries:
             return
         self.stats.round_trips += 1
+        metas = meta or {}
         for fingerprint, responses in entries:
-            self._persist_entry(fingerprint, responses, meta=None)
+            self._persist_entry(
+                fingerprint, responses, meta=metas.get(fingerprint)
+            )
 
     def _persist_entry(
         self,
@@ -884,11 +840,10 @@ class FileStore(CacheStore):
         return self._path(fingerprint).exists()
 
     def items(self) -> Iterator[tuple[str, dict[str, float]]]:
-        for path in self._blob_paths():
-            fingerprint = path.name[: -len(self._SUFFIX)]
-            responses = self.load(fingerprint)
-            if responses is not None:
-                yield fingerprint, responses
+        fingerprints = [
+            path.name[: -len(self._SUFFIX)] for path in self._blob_paths()
+        ]
+        yield from self.load_many(fingerprints).items()
 
     def entries(self) -> Iterator[EntryMeta]:
         for path in self._blob_paths():
@@ -1102,42 +1057,6 @@ class SQLiteStore(CacheStore):
             except OSError:
                 pass
 
-    def load(self, fingerprint: str) -> dict[str, float] | None:
-        self.stats.round_trips += 1
-        row = self._conn.execute(
-            "SELECT schema_version, payload FROM evaluations"
-            " WHERE fingerprint = ?",
-            (fingerprint,),
-        ).fetchone()
-        if row is None:
-            return None
-        responses = self._decode_row(fingerprint, row)
-        if responses is None:
-            self.discard(fingerprint)
-            return None
-        # Usage tracking is best-effort and must never stall a hit:
-        # a writer holding the database for longer than a blink
-        # (batch persist, VACUUM from another process) forfeits this
-        # bump rather than blocking the read path for the full busy
-        # timeout.
-        try:
-            self._conn.execute("PRAGMA busy_timeout=100")
-            try:
-                with self._conn:
-                    self._conn.execute(
-                        "UPDATE evaluations SET last_used_at = ?,"
-                        " hits = hits + 1 WHERE fingerprint = ?",
-                        (time.time(), fingerprint),
-                    )
-            finally:
-                self._conn.execute(
-                    f"PRAGMA busy_timeout={int(self.timeout * 1000)}"
-                )
-        except sqlite3.Error:  # pragma: no cover - tracking is best-effort
-            pass
-        self.stats.loads += 1
-        return responses
-
     def load_many(
         self, fingerprints: Sequence[str]
     ) -> dict[str, dict[str, float]]:
@@ -1167,8 +1086,11 @@ class SQLiteStore(CacheStore):
                 continue
             out[fingerprint] = responses
         if out:
-            # Same best-effort usage tracking as load(), one
-            # transaction for the whole batch.
+            # Usage tracking is best-effort and must never stall a
+            # hit: a writer holding the database for longer than a
+            # blink (batch persist, VACUUM from another process)
+            # forfeits this bump rather than blocking the read path
+            # for the full busy timeout.
             try:
                 self._conn.execute("PRAGMA busy_timeout=100")
                 try:
@@ -1244,32 +1166,23 @@ class SQLiteStore(CacheStore):
             len(payload),
         )
 
-    def persist(
-        self,
-        fingerprint: str,
-        responses: Mapping[str, float],
-        *,
-        meta: EntryMeta | None = None,
-    ) -> None:
-        self.stats.round_trips += 1
-        row = self._encode_row(fingerprint, responses, meta)
-        with self._write_guard("persist"), self._conn:
-            self._conn.execute(self._INSERT_SQL, row)
-        self.stats.persists += 1
-
     def persist_many(
-        self, entries: Sequence[tuple[str, Mapping[str, float]]]
+        self,
+        entries: Sequence[tuple[str, Mapping[str, float]]],
+        *,
+        meta: Mapping[str, EntryMeta] | None = None,
     ) -> None:
         if not entries:
             return
         self.stats.round_trips += 1
+        metas = meta or {}
         rows = [
-            self._encode_row(fingerprint, responses, None)
+            self._encode_row(fingerprint, responses, metas.get(fingerprint))
             for fingerprint, responses in entries
         ]
         # One transaction for the whole batch; INSERT OR REPLACE
         # applies rows in order, so duplicate fingerprints resolve
-        # last-wins exactly like repeated persist() calls.
+        # last-wins.
         with self._write_guard("persist_many"), self._conn:
             self._conn.executemany(self._INSERT_SQL, rows)
         self.stats.persists += len(rows)

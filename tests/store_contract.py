@@ -196,6 +196,41 @@ class StoreContract:
         assert len(store) == 1
         assert store.stats.invalidations == 0
 
+    # -- single forms are one-entry batches ------------------------------------
+
+    def test_load_is_a_one_entry_load_many(self, store):
+        store.persist("fp", {"y": 1.0})
+        for fingerprint in ("fp", "absent"):
+            assert store.load(fingerprint) == store.load_many(
+                [fingerprint]
+            ).get(fingerprint)
+
+    def test_single_calls_are_one_round_trip_each(self, store):
+        for call in (
+            lambda: store.persist("fp", {"y": 1.0}),
+            lambda: store.load("fp"),
+            lambda: store.load("absent"),
+        ):
+            before = store.stats.round_trips
+            call()
+            self._round_trip_delta(store, before)
+
+    def test_persist_many_meta_preserves_provenance(self, store):
+        meta = EntryMeta(
+            fingerprint="old", created_at=5000.0, last_used_at=6000.0, hits=7
+        )
+        store.persist_many(
+            [("old", {"y": 1.0}), ("new", {"y": 2.0})], meta={"old": meta}
+        )
+        old = store.entry_meta("old")
+        assert old.created_at == pytest.approx(5000.0, abs=1.0)
+        assert old.last_used_at == pytest.approx(6000.0, abs=1.0)
+        # An entry the mapping does not name is stamped afresh.
+        assert store.entry_meta("new").created_at > 1e9
+        if self.counts_hits:
+            assert old.hits == 7
+            assert store.entry_meta("new").hits == 0
+
     # -- batched I/O (the amortized-substrate contract) ------------------------
 
     def _round_trip_delta(self, store, before):

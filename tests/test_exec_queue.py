@@ -177,25 +177,6 @@ class TestWorkQueueContract:
         assert stats.pending == 2 and stats.leased == 0
         assert queue.job("fp00").error == "boom"
 
-    def test_heartbeat_many_empty_is_free(self, queue):
-        before = queue.transactions
-        assert queue.heartbeat_many("w1", []) == 0
-        assert queue.transactions == before
-
-    def test_heartbeat_many_extends_only_held_leases(self, queue):
-        queue.submit(_jobs(2))
-        queue.lease("w1", n=2, lease_seconds=0.2)
-        before = queue.transactions
-        extended = queue.heartbeat_many(
-            "w1", ["fp00", "fp01", "ghost"], lease_seconds=120.0
-        )
-        assert extended == 2
-        assert queue.transactions == before + 1
-        time.sleep(0.3)
-        # Without the batched heartbeat these would have expired.
-        assert queue.reclaim() == 0
-        assert queue.job("fp00").status == "leased"
-
     def test_fail_requeues_then_goes_terminal(self, queue):
         queue.submit(_jobs(1))
         for attempt in range(1, queue.max_attempts + 1):

@@ -228,7 +228,8 @@ class TestWorkerLoop:
             FaultPlan(
                 [
                     FaultSpec("store", "persist_many", 1, "terminal"),
-                    FaultSpec("store", "persist", 1, "terminal"),
+                    # The first per-entry persist is a one-entry batch.
+                    FaultSpec("store", "persist_many", 2, "terminal"),
                 ]
             ),
         )

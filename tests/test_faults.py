@@ -31,6 +31,7 @@ from repro.exec import (
     SQLiteStore,
     SQLiteWorkQueue,
 )
+from repro.exec.faults import FAULT_OPS
 
 #: Instant retries — these tests must not sleep.
 _FAST_RETRY = RetryPolicy(
@@ -41,11 +42,28 @@ _FAST_RETRY = RetryPolicy(
 class TestFaultSpec:
     def test_validation(self):
         with pytest.raises(ReproError, match="target"):
-            FaultSpec("disk", "persist", 1, "transient")
+            FaultSpec("disk", "persist_many", 1, "transient")
         with pytest.raises(ReproError, match="kind"):
-            FaultSpec("store", "persist", 1, "gremlins")
+            FaultSpec("store", "persist_many", 1, "gremlins")
         with pytest.raises(ReproError, match="index"):
-            FaultSpec("store", "persist", 0, "transient")
+            FaultSpec("store", "persist_many", 0, "transient")
+
+    @pytest.mark.parametrize(
+        "target, op",
+        [
+            ("store", "lod"),
+            ("store", "load"),
+            ("store", "persist"),
+            ("queue", "complete"),
+            ("queue", "fail"),
+            ("queue", "heartbeat_many"),
+            ("worker", "lease"),
+        ],
+    )
+    def test_unknown_op_raises(self, target, op):
+        # A misspelt or retired op would never fire; refuse it.
+        with pytest.raises(ReproError, match="op"):
+            FaultSpec(target, op, 1, "transient")
 
     def test_as_dict_roundtrips_the_schedule(self):
         spec = FaultSpec("queue", "lease", 3, "expire_lease")
@@ -68,31 +86,31 @@ class TestFaultPlan:
         )
 
     def test_fires_on_the_nth_op_exactly_once(self):
-        plan = FaultPlan([FaultSpec("store", "persist", 2, "transient")])
-        assert plan.tick("store", "persist") is None
-        fired = plan.tick("store", "persist")
+        plan = FaultPlan([FaultSpec("store", "persist_many", 2, "transient")])
+        assert plan.tick("store", "persist_many") is None
+        fired = plan.tick("store", "persist_many")
         assert fired is not None and fired.kind == "transient"
-        assert plan.tick("store", "persist") is None  # spent
+        assert plan.tick("store", "persist_many") is None  # spent
         assert plan.fired == [
             {
-                "target": "store", "op": "persist", "at": 2,
-                "kind": "transient", "on_op": "persist",
+                "target": "store", "op": "persist_many", "at": 2,
+                "kind": "transient", "on_op": "persist_many",
             }
         ]
         assert plan.remaining() == 0
 
     def test_ops_are_counted_per_operation(self):
-        plan = FaultPlan([FaultSpec("store", "load", 2, "transient")])
+        plan = FaultPlan([FaultSpec("store", "load_many", 2, "transient")])
         # Interleaved persists must not advance the load counter.
-        assert plan.tick("store", "persist") is None
-        assert plan.tick("store", "load") is None
-        assert plan.tick("store", "persist") is None
-        assert plan.tick("store", "load") is not None
+        assert plan.tick("store", "persist_many") is None
+        assert plan.tick("store", "load_many") is None
+        assert plan.tick("store", "persist_many") is None
+        assert plan.tick("store", "load_many") is not None
 
     def test_wildcard_op_counts_everything_on_the_target(self):
         plan = FaultPlan([FaultSpec("store", "*", 3, "locked")])
-        assert plan.tick("store", "persist") is None
-        assert plan.tick("store", "load") is None
+        assert plan.tick("store", "persist_many") is None
+        assert plan.tick("store", "load_many") is None
         assert plan.tick("queue", "lease") is None  # other target
         fired = plan.tick("store", "discard")
         assert fired is not None
@@ -108,7 +126,10 @@ class TestFaultPlan:
         assert plan.describe()["seed"] == 9
 
     def test_identical_plans_replay_identical_firings(self):
-        ops = ["persist", "load", "persist", "peek", "persist", "load"]
+        ops = [
+            "persist_many", "load_many", "persist_many",
+            "peek", "persist_many", "load_many",
+        ]
         logs = []
         for _ in range(2):
             plan = FaultPlan.aggressive(77, store_ops=3, queue_ops=0,
@@ -125,7 +146,7 @@ class TestFaultyStore:
         return FaultyStore(MemoryStore(), FaultPlan(specs))
 
     def test_transient_kind(self):
-        store = self._store([FaultSpec("store", "persist", 1, "transient")])
+        store = self._store([FaultSpec("store", "persist_many", 1, "transient")])
         with pytest.raises(TransientStoreError, match="injected"):
             store.persist("fp", {"y": 1.0})
         # The op was lost, as with a real error...
@@ -135,7 +156,7 @@ class TestFaultyStore:
         assert store.load("fp") == {"y": 1.0}
 
     def test_locked_kind_is_a_real_sqlite_shape(self):
-        store = self._store([FaultSpec("store", "load", 1, "locked")])
+        store = self._store([FaultSpec("store", "load_many", 1, "locked")])
         with pytest.raises(sqlite3.OperationalError) as excinfo:
             store.load("fp")
         assert is_transient(excinfo.value)
@@ -148,7 +169,7 @@ class TestFaultyStore:
     def test_torn_write_leaves_a_distrusted_corpse(self, tmp_path):
         inner = FileStore(tmp_path / "s")
         store = FaultyStore(
-            inner, FaultPlan([FaultSpec("store", "persist", 1, "torn")])
+            inner, FaultPlan([FaultSpec("store", "persist_many", 1, "torn")])
         )
         with pytest.raises(TransientStoreError, match="torn"):
             store.persist("fp", {"y": 1.0, "z": 2.0})
@@ -160,6 +181,25 @@ class TestFaultyStore:
         # The retry overwrites the corpse and service resumes.
         store.persist("fp", {"y": 1.0, "z": 2.0})
         assert store.load("fp") == {"y": 1.0, "z": 2.0}
+
+    def test_torn_batch_leaves_a_blob_load_misses_and_verify_flags(
+        self, tmp_path
+    ):
+        inner = FileStore(tmp_path / "s")
+        store = FaultyStore(
+            inner, FaultPlan([FaultSpec("store", "persist_many", 1, "torn")])
+        )
+        entries = [(f"fp{i}", {"y": float(i), "z": 0.5}) for i in range(3)]
+        with pytest.raises(TransientStoreError, match="torn"):
+            store.persist_many(entries)
+        # The first half landed, the next entry is a torn corpse and
+        # the rest never started.
+        assert inner.peek("fp0") == {"y": 0.0, "z": 0.5}
+        assert inner._path("fp1").stat().st_size > 0
+        assert not inner._path("fp2").exists()
+        report = inner.verify()
+        assert report.valid == 1 and report.invalid == 1
+        assert store.load("fp1") is None
 
     def test_delegation_and_describe(self, tmp_path):
         inner = SQLiteStore(tmp_path / "s.sqlite")
@@ -215,6 +255,81 @@ class TestFaultyQueue:
                 "worker" if kind == "kill_worker" else "store"
             )
             FaultSpec(target, "*", 1, kind)
+
+
+#: One call per vocabulary op, driven through the faulty wrappers.
+_STORE_CALLS = {
+    "peek": lambda store: store.peek("fp"),
+    "load_many": lambda store: store.load_many(["fp"]),
+    "persist_many": lambda store: store.persist_many([("fp", {"y": 1.0})]),
+    "discard": lambda store: store.discard("fp"),
+    "clear": lambda store: store.clear(),
+}
+_QUEUE_CALLS = {
+    "submit": lambda queue: queue.submit([Job("fp", {"a": 1.0})]),
+    "lease": lambda queue: queue.lease("w1"),
+    "complete_many": lambda queue: queue.complete_many("w1", [("fp", 0.0)]),
+    "fail_many": lambda queue: queue.fail_many("w1", [("fp", "boom")]),
+    "heartbeat": lambda queue: queue.heartbeat("w1"),
+    "reclaim": lambda queue: queue.reclaim(),
+    "requeue": lambda queue: queue.requeue("fp"),
+    "purge": lambda queue: queue.purge(),
+}
+
+
+class TestEveryVocabularyOpFires:
+    """Each op a spec may name is one the wrappers actually count."""
+
+    def test_drivers_cover_the_vocabulary(self):
+        assert set(_STORE_CALLS) == set(FAULT_OPS["store"])
+        assert set(_QUEUE_CALLS) == set(FAULT_OPS["queue"])
+
+    @pytest.mark.parametrize("op", FAULT_OPS["store"])
+    def test_store_op_fires(self, op):
+        plan = FaultPlan([FaultSpec("store", op, 1, "transient")])
+        store = FaultyStore(MemoryStore(), plan)
+        with pytest.raises(TransientStoreError):
+            _STORE_CALLS[op](store)
+        assert [fired["on_op"] for fired in plan.fired] == [op]
+
+    @pytest.mark.parametrize("op", FAULT_OPS["queue"])
+    def test_queue_op_fires(self, op, tmp_path):
+        plan = FaultPlan([FaultSpec("queue", op, 1, "transient")])
+        queue = FaultyQueue(SQLiteWorkQueue(tmp_path / "q.sqlite"), plan)
+        with pytest.raises(TransientQueueError):
+            _QUEUE_CALLS[op](queue)
+        assert [fired["on_op"] for fired in plan.fired] == [op]
+        queue.close()
+
+    @pytest.mark.parametrize(
+        "call, op",
+        [
+            (lambda store: store.load("fp"), "load_many"),
+            (lambda store: store.persist("fp", {"y": 1.0}), "persist_many"),
+        ],
+    )
+    def test_single_store_forms_tick_their_batched_op(self, call, op):
+        plan = FaultPlan([FaultSpec("store", op, 1, "transient")])
+        with pytest.raises(TransientStoreError):
+            call(FaultyStore(MemoryStore(), plan))
+        assert plan.fired[0]["on_op"] == op
+
+    @pytest.mark.parametrize(
+        "call, op",
+        [
+            (lambda queue: queue.complete("w1", "fp"), "complete_many"),
+            (lambda queue: queue.fail("w1", "fp"), "fail_many"),
+        ],
+    )
+    def test_single_queue_forms_tick_their_batched_op(
+        self, call, op, tmp_path
+    ):
+        plan = FaultPlan([FaultSpec("queue", op, 1, "transient")])
+        queue = FaultyQueue(SQLiteWorkQueue(tmp_path / "q.sqlite"), plan)
+        with pytest.raises(TransientQueueError):
+            call(queue)
+        assert plan.fired[0]["on_op"] == op
+        queue.close()
 
 
 class TestMidBatchFaults:

@@ -15,9 +15,13 @@ re-running the existing behavioural suites through the wrappers:
   must not double-count retried operations).
 """
 
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.exec import (
+    CacheStore,
     FaultPlan,
     FaultSpec,
     FaultyQueue,
@@ -25,10 +29,12 @@ from repro.exec import (
     FileStore,
     FileWorkQueue,
     ResilientQueue,
+    MemoryStore,
     ResilientStore,
     RetryPolicy,
     SQLiteStore,
     SQLiteWorkQueue,
+    WorkQueue,
 )
 
 from store_contract import StoreContract
@@ -201,3 +207,48 @@ class TestInjectionActuallyHappens:
                 if n.startswith("test_")
             ]
         ) >= 20
+
+
+# -- one form per operation ----------------------------------------------------
+
+
+def _program_subclasses(base):
+    found, pending = [], [base]
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            pending.append(sub)
+            if sub.__module__.startswith("repro."):
+                found.append(sub)
+    return found
+
+
+class TestOneFormPerOperation:
+    """Single forms live only on the ABCs, as one-entry batches of the
+    batched primitives every store, queue and wrapper implements."""
+
+    def test_no_program_class_defines_a_single_form(self):
+        classes = _program_subclasses(CacheStore) + _program_subclasses(
+            WorkQueue
+        )
+        assert {
+            MemoryStore,
+            FileStore,
+            SQLiteStore,
+            ResilientStore,
+            FaultyStore,
+            SQLiteWorkQueue,
+            FileWorkQueue,
+            ResilientQueue,
+            FaultyQueue,
+        } <= set(classes)
+        for cls in classes:
+            defined = {"load", "persist", "complete", "fail"} & set(vars(cls))
+            assert not defined, (cls.__name__, defined)
+
+    def test_heartbeat_many_is_gone_from_the_source(self):
+        source = Path(repro.__file__).parent
+        assert [
+            path.name
+            for path in source.rglob("*.py")
+            if "heartbeat_many" in path.read_text(encoding="utf-8")
+        ] == []

@@ -62,27 +62,20 @@ class _Breakable(MemoryStore):
         if self.broken:
             raise OSError("disk on fire")
 
-    def load(self, fingerprint):
-        self._check()
-        return super().load(fingerprint)
-
     def peek(self, fingerprint):
         self._check()
         return super().peek(fingerprint)
-
-    def persist(self, fingerprint, responses, *, meta=None):
-        self._check()
-        if fingerprint == self.fail_fingerprint:
-            raise OSError(f"cannot write {fingerprint}")
-        return super().persist(fingerprint, responses, meta=meta)
 
     def load_many(self, fingerprints):
         self._check()
         return super().load_many(fingerprints)
 
-    def persist_many(self, entries):
+    def persist_many(self, entries, *, meta=None):
         self._check()
-        return super().persist_many(entries)
+        for fingerprint, _ in entries:
+            if fingerprint == self.fail_fingerprint:
+                raise OSError(f"cannot write {fingerprint}")
+        return super().persist_many(entries, meta=meta)
 
     def __len__(self):
         self._check()
@@ -297,8 +290,8 @@ class TestResilientStore:
     def test_transients_are_masked_invisibly(self):
         plan = FaultPlan(
             [
-                FaultSpec("store", "persist", 1, "transient"),
-                FaultSpec("store", "load", 1, "locked"),
+                FaultSpec("store", "persist_many", 1, "transient"),
+                FaultSpec("store", "load_many", 1, "locked"),
             ]
         )
         store, _ = self._store(FaultyStore(MemoryStore(), plan))
@@ -434,7 +427,7 @@ class TestResilientQueue:
             [
                 FaultSpec("queue", "submit", 1, "transient"),
                 FaultSpec("queue", "lease", 1, "locked"),
-                FaultSpec("queue", "complete", 1, "transient"),
+                FaultSpec("queue", "complete_many", 1, "transient"),
             ]
         )
         queue = ResilientQueue(
